@@ -40,6 +40,9 @@ let dsl graph =
       done);
   labels
 
+(* Tier 1: the propagation loop as a MiniVM script.  It leaves the
+   loop at the fixpoint, like the loops above; [|V|] rounds only bound
+   it (no component needs more pulls than it has vertices). *)
 let vm_program : Minivm.Ast.block =
   let open Minivm.Ast in
   [ Def
@@ -53,14 +56,19 @@ let vm_program : Minivm.Ast.block =
                   ( "i",
                     Index
                       (Attr (Var "graph", "shape"), Const (Minivm.Value.Int 0)),
-                    [ ExprStmt
+                    [ Assign ("before", Method (Var "labels", "dup", []));
+                      ExprStmt
                         (Method
                            ( Var "labels",
                              "update",
                              [ Const Minivm.Value.Nil;
                                Binary
                                  ("@", Attr (Var "graph", "T"), Var "labels")
-                             ] )) ] ) ] );
+                             ] ));
+                      If
+                        ( Method (Var "labels", "isequal", [ Var "before" ]),
+                          [ Break ],
+                          [] ) ] ) ] );
           Return (Var "labels") ] ) ]
 
 let seed_labels n =

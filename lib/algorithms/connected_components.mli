@@ -14,10 +14,11 @@ val native : bool Smatrix.t -> int Svector.t
 val dsl : Ogb.Container.t -> Ogb.Container.t
 
 val vm_program : Minivm.Ast.block
-(** The propagation loop as a MiniVM script ([n] bounded rounds of
+(** The propagation loop as a MiniVM script: rounds of
     [labels.update(None, graph.T @ labels)] under
-    [Semiring("MinSelect2nd")]/[Accumulator("Min")]); the fifth tier-1
-    workload. *)
+    [Semiring("MinSelect2nd")]/[Accumulator("Min")] until
+    [labels.isequal(before)] (the fixpoint, as in {!native} and {!dsl}),
+    capped at [|V|] rounds; the fifth tier-1 workload. *)
 
 val vm_loops : Ogb.Container.t -> Ogb.Container.t
 (** Run {!vm_program} through the VM bridge: labels seeded [v -> v]

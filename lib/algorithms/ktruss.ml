@@ -60,9 +60,9 @@ let nonblocking ~k graph = Exec.with_mode Exec.Nonblocking (fun () -> dsl ~k gra
 (* Tier 1: the filtering loop as a MiniVM script.  The edge matrix is
    pruned in place, so the masked support recomputation runs under
    Replace (stale support entries outside the shrinking mask must not
-   survive); pruning an already-fixed edge set is a no-op, so a round
-   budget [rounds >= the fixpoint depth] is bit-identical to the
-   fixpoint loops above. *)
+   survive).  A round only ever removes edges, so an unchanged edge
+   count is the fixpoint, the same test the loops above make; the loop
+   leaves there, and [rounds] only caps it. *)
 let vm_program : Minivm.Ast.block =
   let open Minivm.Ast in
   let str s = Const (Minivm.Value.Str s) in
@@ -74,7 +74,8 @@ let vm_program : Minivm.Ast.block =
               [ For
                   ( "i",
                     Var "rounds",
-                    [ With
+                    [ Assign ("before", Attr (Var "e", "nvals"));
+                      With
                         ( [ Var "Replace" ],
                           [ SetIndex
                               ( Var "support",
@@ -91,7 +92,11 @@ let vm_program : Minivm.Ast.block =
                                     [ Call
                                         ( Var "select",
                                           [ str "ge"; Var "thresh"; Var "support" ] )
-                                    ] ) ) ] ) ] ) ] );
+                                    ] ) ) ] );
+                      If
+                        ( Binary ("==", Attr (Var "e", "nvals"), Var "before"),
+                          [ Break ],
+                          [] ) ] ) ] );
           Return (Var "e") ] ) ]
 
 let default_rounds = 32

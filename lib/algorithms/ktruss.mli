@@ -22,10 +22,10 @@ val nonblocking : k:int -> Ogb.Container.t -> Ogb.Container.t
     workload). *)
 
 val vm_program : Minivm.Ast.block
-(** The filtering loop as a MiniVM script: [rounds] bounded iterations
-    of the Replace-masked support mxm and the select/re-one apply;
-    pruning a fixed edge set is a no-op, so any budget at or beyond the
-    fixpoint depth is bit-identical to the fixpoint loops. *)
+(** The filtering loop as a MiniVM script: iterations of the
+    Replace-masked support mxm and the select/re-one apply until a
+    round leaves the edge count unchanged (the fixpoint, as in the
+    other tiers), capped at [rounds]. *)
 
 val default_rounds : int
 

@@ -130,7 +130,9 @@ let dsl ?rounds graph = run ?rounds graph
 let nonblocking ?rounds graph =
   Exec.with_mode Exec.Nonblocking (fun () -> run ?rounds graph)
 
-(* Tier 1: the same program interpreted by the MiniVM. *)
+(* Tier 1: the same program interpreted by the MiniVM, leaving the loop
+   when a sweep changes no label and cut off after [rounds] sweeps like
+   the other tiers. *)
 let vm_program : Minivm.Ast.block =
   let open Minivm.Ast in
   let str s = Const (Minivm.Value.Str s) in
@@ -147,7 +149,8 @@ let vm_program : Minivm.Ast.block =
           For
             ( "i",
               Var "rounds",
-              [ ExprStmt (Call (Var "label_onehot", [ Var "labels"; Var "onehot" ]));
+              [ Assign ("before", Method (Var "labels", "dup", []));
+                ExprStmt (Call (Var "label_onehot", [ Var "labels"; Var "onehot" ]));
                 With
                   ( [ Call (Var "Semiring", [ str "Arithmetic" ]) ],
                     [ SetIndex
@@ -174,8 +177,11 @@ let vm_program : Minivm.Ast.block =
                         ( Var "best",
                           Const Minivm.Value.Nil,
                           Call (Var "reduce_rows", [ Var "enc" ]) ) ] );
-                ExprStmt (Call (Var "label_decode", [ Var "best"; Var "labels" ]))
-              ] );
+                ExprStmt (Call (Var "label_decode", [ Var "best"; Var "labels" ]));
+                If
+                  ( Method (Var "labels", "isequal", [ Var "before" ]),
+                    [ Break ],
+                    [] ) ] );
           Return (Var "labels") ] ) ]
 
 let seed_labels n =

@@ -28,9 +28,9 @@ val nonblocking : ?rounds:int -> Ogb.Container.t -> Ogb.Container.t * int
 (** {!dsl} under the nonblocking engine. *)
 
 val vm_program : Minivm.Ast.block
-(** The same program as a MiniVM script ([rounds] bounded sweeps of
-    scatter / masked histogram mxm / encode / Max row reduce /
-    decode). *)
+(** The same program as a MiniVM script: sweeps of scatter / histogram
+    mxm / encode / Max row reduce / decode until a sweep changes no
+    label ([labels.isequal(before)]), capped at [rounds]. *)
 
 val vm_loops : ?rounds:int -> Ogb.Container.t -> Ogb.Container.t
 (** Run {!vm_program} through the VM bridge (labels seeded [v -> v]). *)

@@ -555,6 +555,7 @@ and amethod st recv name args =
     VNil
   | VCont c, "dup", [] -> VCont c
   | VCont _, "clear", [] -> VNil
+  | VCont _, "isequal", [ _ ] -> VBool None
   | VCont _, "get", [ _ ] -> VNum None
   | VCont _, "set", [ _; _ ] -> VNil
   | VList _, "append", [ _ ] -> VNil

@@ -45,10 +45,17 @@ let rec result_dtype = function
   | MatMul { a; b; _ } | EwiseAdd { a; b; _ } | EwiseMult { a; b; _ } ->
     Dtype.promote (result_dtype a) (result_dtype b)
 
-(* Cast a container to the expression dtype when needed. *)
-let unify (Dtype.P _ as packed) c =
+(* Cast to the expression dtype when needed.  A matrix is read through
+   its cached promoted copy (Smatrix.promoted), so a graph promoted
+   every round is converted once; the copy is shared, and every caller
+   (kernel operands, result writes) only reads it.  Vectors change
+   every round and are cast afresh. *)
+let unify (Dtype.P into as packed) c =
   if Dtype.equal_packed (Container.dtype c) packed then c
-  else Container.cast packed c
+  else
+    match c with
+    | Container.Mat (_, m) -> Container.Mat (into, Smatrix.promoted ~into m)
+    | Container.Vec _ -> Container.cast packed c
 
 let mmask_of_spec spec =
   match spec.container with

@@ -76,7 +76,10 @@ val result_dtype : t -> Gbtl.Dtype.packed
 (** The dtype the expression evaluates at (operand promotion, paper §V). *)
 
 val unify : Gbtl.Dtype.packed -> Container.t -> Container.t
-(** Cast to the given dtype when it differs (no copy otherwise). *)
+(** Cast to the given dtype when it differs (no copy otherwise).  A
+    matrix comes back as its cached, shared promoted copy
+    ({!Gbtl.Smatrix.promoted}) and must only be read; a vector is a
+    fresh cast. *)
 
 val set_fusion : bool -> unit
 (** Toggle operation fusion: with fusion on (default), [apply] over a

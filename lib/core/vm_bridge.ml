@@ -73,6 +73,8 @@ let foreign_method f name args =
   | Cont c, "clear", [] ->
     Container.clear c;
     Some Value.Nil
+  | Cont c, "isequal", [ Value.Foreign (Cont d) ] ->
+    Some (Value.Bool (Container.equal c d))
   | Cont c, "get", [ Value.Int i ] ->
     Some
       (match Container.get_vector_element c i with
@@ -287,8 +289,8 @@ let install env =
 let known_attrs = [ "T"; "nvals"; "size"; "shape"; "dtype" ]
 
 let known_methods =
-  [ ("dup", [ 0 ]); ("clear", [ 0 ]); ("get", [ 1 ]); ("set", [ 2 ]);
-    ("update", [ 2 ]) ]
+  [ ("dup", [ 0 ]); ("clear", [ 0 ]); ("isequal", [ 1 ]); ("get", [ 1 ]);
+    ("set", [ 2 ]); ("update", [ 2 ]) ]
 
 let builtin_arities =
   [ ("Vector", [ 1; 2 ]); ("Matrix", [ 2; 3 ]); ("Semiring", [ 1; 3 ]);

@@ -53,7 +53,9 @@ val known_attrs : string list
     [.size], [.shape], [.dtype]). *)
 
 val known_methods : (string * int list) list
-(** Foreign method names with their accepted argument counts. *)
+(** Foreign method names with their accepted argument counts: [dup],
+    [clear], [isequal] ([a.isequal(b)] is {!Container.equal}), [get],
+    [set], [update]. *)
 
 val builtin_arities : (string * int list) list
 (** Bridge builtins with their accepted argument counts ([Vector]'s

@@ -3,7 +3,12 @@
    is built lazily by [ensure_csc] and cached until the next mutation;
    column-oriented consumers ([extract_col], transpose-mxv pull
    dispatch, unmasked transposed [mxm]) read it instead of rescanning
-   or materializing a transpose. *)
+   or materializing a transpose.
+
+   Beside it sits one promoted copy per target dtype ([promoted]), so
+   an operand cast by dtype promotion (a bool graph in an Int64
+   product) is converted once rather than once per product.  Both
+   derived sides are dropped together by [invalidate]. *)
 type 'a csc = { colptr : int array; rowidx : int array; cvals : 'a array }
 
 type 'a t = {
@@ -14,7 +19,13 @@ type 'a t = {
   mutable colidx : int array;
   mutable vals : 'a array;
   mutable csc : 'a csc option;
+  casts : cast list Atomic.t;
 }
+
+(* A published promoted copy: complete (CSC side built) and never
+   written again, so domains may share it without further
+   synchronization. *)
+and cast = Cast : 'b Dtype.t * 'b t -> cast
 
 exception Dimension_mismatch = Error.Dim_mismatch
 exception Index_out_of_bounds of string
@@ -22,7 +33,7 @@ exception Index_out_of_bounds of string
 let create dt nrows ncols =
   if nrows < 0 || ncols < 0 then invalid_arg "Smatrix.create: negative shape";
   { dt; nrows; ncols; rowptr = Array.make (nrows + 1) 0; colidx = [||];
-    vals = [||]; csc = None }
+    vals = [||]; csc = None; casts = Atomic.make [] }
 
 let dtype m = m.dt
 let nrows m = m.nrows
@@ -32,7 +43,12 @@ let nvals m = m.rowptr.(m.nrows)
 
 let csc_cached m = m.csc <> None
 let rep_name m = if csc_cached m then "csr+csc" else "csr"
-let invalidate_csc m = m.csc <- None
+
+(* Every mutation goes through here: the CSC side and the promoted
+   copies describe the old contents. *)
+let invalidate m =
+  m.csc <- None;
+  Atomic.set m.casts []
 
 (* Counting sort of the CSR entries into column-major order; rows stay
    ascending within each column, so the CSC side is exactly the CSR of
@@ -100,7 +116,7 @@ let mem m r c =
 
 let set m r c x =
   check_bounds m r c "Smatrix.set";
-  invalidate_csc m;
+  invalidate m;
   match find m r c with
   | Ok p -> m.vals.(p) <- x
   | Error p ->
@@ -120,7 +136,7 @@ let set m r c x =
 
 let remove m r c =
   check_bounds m r c "Smatrix.remove";
-  invalidate_csc m;
+  invalidate m;
   match find m r c with
   | Error _ -> ()
   | Ok p ->
@@ -135,7 +151,7 @@ let clear m =
   Array.fill m.rowptr 0 (m.nrows + 1) 0;
   m.colidx <- [||];
   m.vals <- [||];
-  invalidate_csc m
+  invalidate m
 
 let dup m =
   {
@@ -146,6 +162,7 @@ let dup m =
     colidx = Array.sub m.colidx 0 (nvals m);
     vals = Array.sub m.vals 0 (nvals m);
     csc = None;
+    casts = Atomic.make [];
   }
 
 let replace_contents dst src =
@@ -156,7 +173,7 @@ let replace_contents dst src =
   dst.rowptr <- Array.copy src.rowptr;
   dst.colidx <- Array.sub src.colidx 0 (nvals src);
   dst.vals <- Array.sub src.vals 0 (nvals src);
-  invalidate_csc dst
+  invalidate dst
 
 let of_coo ?dup dt nrows ncols triples =
   let m = create dt nrows ncols in
@@ -255,12 +272,13 @@ let of_rows_unsafe dt ~nrows ~ncols rows =
     rows;
   rowptr.(nrows) <- !k;
   { dt; nrows; ncols; rowptr; colidx = Array.sub colidx 0 !k; vals = !vals;
-    csc = None }
+    csc = None; casts = Atomic.make [] }
 
 let of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx ~values =
   assert (Array.length rowptr = nrows + 1);
   assert (rowptr.(nrows) <= Array.length colidx);
-  { dt; nrows; ncols; rowptr; colidx; vals = values; csc = None }
+  { dt; nrows; ncols; rowptr; colidx; vals = values; csc = None;
+    casts = Atomic.make [] }
 
 let row_nvals m r = m.rowptr.(r + 1) - m.rowptr.(r)
 
@@ -333,6 +351,7 @@ let transpose m =
     colidx = Array.copy csc.rowidx;
     vals = Array.copy csc.cvals;
     csc = None;
+    casts = Atomic.make [];
   }
 
 let unsafe_transpose_view m =
@@ -346,6 +365,7 @@ let unsafe_transpose_view m =
     vals = csc.cvals;
     (* The view's CSC is the original's CSR, also shared. *)
     csc = Some { colptr = m.rowptr; rowidx = m.colidx; cvals = m.vals };
+    casts = Atomic.make [];
   }
 
 let cast ~into m =
@@ -362,7 +382,35 @@ let cast ~into m =
     colidx = Array.sub m.colidx 0 n;
     vals = Array.sub vals 0 n;
     csc = None;
+    casts = Atomic.make [];
   }
+
+let rec find_cast : type b. b Dtype.t -> cast list -> b t option =
+ fun into -> function
+  | [] -> None
+  | Cast (dt, c) :: rest -> (
+    match Dtype.equal_witness dt into with
+    | Some Dtype.Equal -> Some c
+    | None -> find_cast into rest)
+
+(* Two domains promoting the same matrix may both build a copy; the
+   compare-and-set keeps whichever lands first and both callers read
+   that one. *)
+let promoted ~into m =
+  match find_cast into (Atomic.get m.casts) with
+  | Some c -> c
+  | None ->
+    let c = cast ~into m in
+    ensure_csc c;
+    let rec publish () =
+      let cur = Atomic.get m.casts in
+      match find_cast into cur with
+      | Some c' -> c'
+      | None ->
+        if Atomic.compare_and_set m.casts cur (Cast (into, c) :: cur) then c
+        else publish ()
+    in
+    publish ()
 
 let map m ~f =
   let out = dup m in
@@ -372,7 +420,7 @@ let map m ~f =
   out
 
 let map_inplace m ~f =
-  invalidate_csc m;
+  invalidate m;
   for p = 0 to nvals m - 1 do
     m.vals.(p) <- f m.vals.(p)
   done

@@ -5,6 +5,8 @@
     Column-oriented consumers ({!extract_col}, transpose-mxv pull
     dispatch, unmasked transposed mxm) read the cached CSC arrays
     instead of rescanning the CSR side or materializing a transpose.
+    Beside it, {!promoted} keeps one copy per target dtype for operands
+    cast by dtype promotion; any mutation drops both derived sides.
 
     Stored entries are explicit; row entries are kept in ascending column
     order.  Point mutation ([set]/[remove]) rebuilds the affected arrays
@@ -106,6 +108,15 @@ val unsafe_transpose_view : 'a t -> 'a t
     mutating either matrix afterwards corrupts the other. *)
 
 val cast : into:'b Dtype.t -> 'a t -> 'b t
+(** Fresh, caller-owned copy with every value cast into [into]. *)
+
+val promoted : into:'b Dtype.t -> 'a t -> 'b t
+(** [promoted ~into m] is [cast ~into m] with its CSC side built,
+    cached on [m] (one copy per target dtype) until [m]'s next mutation
+    and shared by every caller, including concurrent domains: the
+    result is strictly read-only.  Publication is atomic; mutating [m]
+    while another domain promotes it is a race, as for any read. *)
+
 val map : 'a t -> f:('a -> 'a) -> 'a t
 val map_inplace : 'a t -> f:('a -> 'a) -> unit
 val equal : 'a t -> 'a t -> bool

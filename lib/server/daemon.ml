@@ -558,6 +558,8 @@ type running = {
   clock : Mutex.t;
   mutable conns : cconn list;
   mutable threads : Thread.t list;
+  mutable accepting : bool;  (** under [clock]; false once the loop exits *)
+  accept_exit : Condition.t;
   mutable accept_d : unit Domain.t option;
   mutable workers_d : unit Domain.t list;
 }
@@ -686,7 +688,10 @@ let accept_loop r =
       go ()
     end
   in
-  go ()
+  Fun.protect go ~finally:(fun () ->
+      Mutex.protect r.clock (fun () ->
+          r.accepting <- false;
+          Condition.broadcast r.accept_exit))
 
 let listen_unix path =
   (match Unix.lstat path with
@@ -739,6 +744,8 @@ let start cfg =
         clock = Mutex.create ();
         conns = [];
         threads = [];
+        accepting = true;
+        accept_exit = Condition.create ();
         accept_d = None;
         workers_d = [] }
     in
@@ -752,12 +759,14 @@ let start cfg =
     Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
   | exception Failure m -> Error m
 
+(* The reader threads belong to the accept domain, which cannot finish
+   while one of them is blocked reading an idle connection; so the
+   domain is joined last, after every connection is closed. *)
 let wait r =
-  (match r.accept_d with
-  | Some d ->
-    Domain.join d;
-    r.accept_d <- None
-  | None -> ());
+  Mutex.protect r.clock (fun () ->
+      while r.accepting do
+        Condition.wait r.accept_exit r.clock
+      done);
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     r.listeners;
   r.listeners <- [];
@@ -768,6 +777,11 @@ let wait r =
   List.iter (fun c -> close_conn r c) conns;
   let threads = Mutex.protect r.clock (fun () -> r.threads) in
   List.iter (fun t -> try Thread.join t with _ -> ()) threads;
+  (match r.accept_d with
+  | Some d ->
+    Domain.join d;
+    r.accept_d <- None
+  | None -> ());
   (try Unix.close r.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close r.stop_w with Unix.Unix_error _ -> ());
   (* persist kernel-timing observations gathered over the daemon's

@@ -99,3 +99,22 @@ let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
   nn = 0 || scan 0
+
+(* -- Temporary directories -- *)
+
+let rec remove_tree path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter
+      (fun name -> remove_tree (Filename.concat path name))
+      (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+
+(* [with_temp_dir prefix f] runs [f dir] on a fresh directory
+   [<temp dir>/<prefix>-<random>] and removes it, with everything under
+   it, when [f] returns or raises. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_dir (prefix ^ "-") "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)

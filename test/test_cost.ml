@@ -18,13 +18,7 @@ let with_pin sched f =
    restored (and reloaded from the real path) whatever happens. *)
 let with_calib_dir f =
   let saved = Jit.Disk_cache.dir () in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ogb-cost-test-%d-%d" (Unix.getpid ())
-         (Random.int 100000))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Helpers.with_temp_dir "ogb-cost-test" @@ fun dir ->
   Jit.Disk_cache.set_dir dir;
   Cost.Calibration.reload ();
   Fun.protect

@@ -407,6 +407,94 @@ let test_fusion_never_mutates_leaves () =
     [ (0, 0, 1.0); (0, 1, 2.0); (1, 0, 3.0); (1, 1, 4.0) ]
     (mentries m)
 
+(* -- operand promotion cache -- *)
+
+let i64 = Gbtl.Dtype.P Gbtl.Dtype.Int64
+
+(* [g.T @ labels] and [g @ labels] under Arithmetic: with a bool [g] and
+   Int64 labels both read [g] through its cached promoted copy. *)
+let products g labels =
+  Context.with_ops [ Context.semiring "Arithmetic" ] (fun () ->
+      ( ventries (Expr.force (tr !!g @. !!labels)),
+        ventries (Expr.force (!!g @. !!labels)) ))
+
+let promoted_matrix c =
+  Container.as_matrix Gbtl.Dtype.Int64 (Expr.unify i64 c)
+
+let test_promotion_cache_invalidation () =
+  let n = 6 in
+  let g =
+    Container.matrix_coo ~dtype:(Gbtl.Dtype.P Gbtl.Dtype.Bool) ~nrows:n
+      ~ncols:n
+      [ (0, 1, 1.0); (1, 2, 1.0); (3, 4, 1.0); (5, 0, 1.0) ]
+  in
+  let labels =
+    Container.vector_coo ~dtype:i64 ~size:n
+      (List.init n (fun v -> (v, float_of_int (v + 1))))
+  in
+  let pair = Alcotest.pair valist valist in
+  (* each check first reads [g] through the cache, so a copy that
+     outlived the mutation after it would show in the next check *)
+  let check what =
+    Alcotest.check pair what
+      (products (Container.cast i64 g) labels)
+      (products g labels)
+  in
+  let m = Container.as_matrix Gbtl.Dtype.Bool g in
+  check "initial";
+  let p = promoted_matrix g in
+  Alcotest.(check bool) "unify shares one promoted copy" true
+    (p == promoted_matrix g);
+  Alcotest.(check bool) "cast returns an owned copy" false
+    (p == Container.as_matrix Gbtl.Dtype.Int64 (Container.cast i64 g));
+  Gbtl.Smatrix.set m 2 5 true;
+  Alcotest.(check bool) "set drops the promoted copy" false
+    (p == promoted_matrix g);
+  check "after set";
+  Gbtl.Smatrix.remove m 0 1;
+  check "after remove";
+  Gbtl.Smatrix.replace_contents m
+    (Gbtl.Smatrix.of_coo Gbtl.Dtype.Bool n n [ (4, 1, true); (1, 1, true) ]);
+  check "after replace_contents";
+  Gbtl.Smatrix.map_inplace m ~f:not;
+  check "after map_inplace";
+  Gbtl.Smatrix.clear m;
+  check "after clear"
+
+let test_concurrent_promotion () =
+  let n = 64 in
+  let g =
+    Container.matrix_coo ~dtype:(Gbtl.Dtype.P Gbtl.Dtype.Bool) ~nrows:n
+      ~ncols:n
+      (List.init (4 * n) (fun k -> ((k * 7) mod n, ((k * 13) + 1) mod n, 1.0)))
+  in
+  let labels =
+    Container.vector_coo ~dtype:i64 ~size:n
+      (List.init n (fun v -> (v, float_of_int v)))
+  in
+  let expected = products (Container.cast i64 g) labels in
+  let ready = Atomic.make 0 in
+  let domains = 4 in
+  let worker () =
+    Atomic.incr ready;
+    while Atomic.get ready < domains do
+      Domain.cpu_relax ()
+    done;
+    let p = promoted_matrix g in
+    (p, products g labels)
+  in
+  let results = List.map Domain.join (List.init domains (fun _ -> Domain.spawn worker)) in
+  let p0 = fst (List.hd results) in
+  List.iteri
+    (fun i (p, got) ->
+      Alcotest.check (Alcotest.pair valist valist)
+        (Printf.sprintf "domain %d product" i)
+        expected got;
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d reads the published copy" i)
+        true (p == p0))
+    results
+
 let suite =
   [ Alcotest.test_case "constructors" `Quick test_constructors;
     Alcotest.test_case "user-defined operators" `Quick
@@ -443,4 +531,8 @@ let suite =
       test_masked_mxm_pruning;
     Alcotest.test_case "expression chaining" `Quick test_expression_chaining;
     Alcotest.test_case "error paths" `Quick test_error_paths;
+    Alcotest.test_case "promoted operand dropped on mutation" `Quick
+      test_promotion_cache_invalidation;
+    Alcotest.test_case "concurrent promotion" `Quick
+      test_concurrent_promotion;
   ]

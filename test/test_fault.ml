@@ -17,12 +17,7 @@ let with_resilience f =
   let saved_retries = Jit.Native_backend.compile_retries () in
   let saved_threshold = Jit.Breaker.get_threshold () in
   let saved_cooldown = Jit.Breaker.get_cooldown () in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ogb-fault-test-%d-%d" (Unix.getpid ())
-         (Random.int 100000))
-  in
+  Helpers.with_temp_dir "ogb-fault-test" @@ fun dir ->
   Jit.Disk_cache.set_dir dir;
   Jit.Dispatch.clear_memory_cache ();
   Jit.Jit_stats.reset ();

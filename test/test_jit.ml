@@ -4,11 +4,7 @@ let f64 = Dtype.FP64
 
 let with_fresh_cache f =
   let saved_dir = Jit.Disk_cache.dir () in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ogb-jit-test-%d-%d" (Unix.getpid ()) (Random.int 100000))
-  in
+  Helpers.with_temp_dir "ogb-jit-test" @@ fun dir ->
   Jit.Disk_cache.set_dir dir;
   Jit.Dispatch.clear_memory_cache ();
   Jit.Jit_stats.reset ();

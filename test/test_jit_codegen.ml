@@ -6,7 +6,7 @@
 
 open Gbtl
 
-let native_available = Jit.Native_backend.available ()
+let native_available () = Jit.Native_backend.available ()
 
 let with_backend backend f =
   let saved = Jit.Dispatch.backend () in
@@ -53,7 +53,7 @@ let codegen_semirings =
   ]
 
 let check_all _name checks () =
-  if not native_available then Alcotest.skip ()
+  if not (native_available ()) then Alcotest.skip ()
   else List.iter (fun f -> f ()) checks
 
 let matvec_case (type a) (dt : a Dtype.t) sr transpose seed () =
@@ -215,7 +215,7 @@ let test_reduce_all_monoids =
          ("LogicalAnd", "True") ])
 
 let test_disk_cache_roundtrip () =
-  if not native_available then Alcotest.skip ()
+  if not (native_available ()) then Alcotest.skip ()
   else
     (* asserts exact disk-hit bookkeeping, which a globally armed chaos
        spec (OGB_FAULTS corrupting the artifact) legitimately breaks *)
@@ -223,10 +223,7 @@ let test_disk_cache_roundtrip () =
     begin
     (* a natively compiled kernel must load back from the .cmxs on disk *)
     let saved_dir = Jit.Disk_cache.dir () in
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ogb-dcache-%d" (Unix.getpid ()))
-    in
+    Helpers.with_temp_dir "ogb-dcache" @@ fun dir ->
     Jit.Disk_cache.set_dir dir;
     Jit.Disk_cache.clear ();
     Jit.Dispatch.clear_memory_cache ();

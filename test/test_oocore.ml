@@ -9,20 +9,13 @@ open Gbtl
 let f64 = Dtype.FP64
 
 (* Every tiled matrix in this file gets its own store root so tests
-   can't see each other's blobs (or a previous run's). *)
-let fresh_dir =
-  let k = ref 0 in
-  fun () ->
-    incr k;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "ogb-test-tiles-%d-%d" (Unix.getpid ()) !k)
-    in
-    d
+   can't see each other's blobs (or a previous run's); the root is
+   removed when the test is done with it. *)
+let with_tile_dir f = Helpers.with_temp_dir "ogb-test-tiles" f
 
 let with_tiled ?tile ?budget m f =
-  let t = Tmatrix.of_smatrix ~dir:(fresh_dir ()) ?tile ?budget m in
+  with_tile_dir @@ fun dir ->
+  let t = Tmatrix.of_smatrix ~dir ?tile ?budget m in
   Fun.protect ~finally:(fun () -> Tmatrix.destroy t) (fun () -> f t)
 
 let svec = Helpers.svector_testable f64
@@ -156,9 +149,8 @@ let test_fault_evict_slow () = pagerank_under_fault "tile.evict.slow" Fault.Once
    per-tile edit journal must rebuild a corrupted tile instead of
    hard-failing, including overwrites and deletes *)
 let test_create_rebuilds_from_journal () =
-  let t =
-    Tmatrix.create ~dir:(fresh_dir ()) ~tile:(4, 4) ~budget:1 f64 12 12
-  in
+  with_tile_dir @@ fun dir ->
+  let t = Tmatrix.create ~dir ~tile:(4, 4) ~budget:1 f64 12 12 in
   Fun.protect ~finally:(fun () -> Tmatrix.destroy t) @@ fun () ->
   ignore
     (Tmatrix.update_edges t
@@ -182,7 +174,8 @@ let test_create_rebuilds_from_journal () =
    one -- *)
 
 let test_checkpoint_resume_after_crash () =
-  let store = Tile_store.open_store ~dir:(fresh_dir ()) "ckpt" in
+  with_tile_dir @@ fun dir ->
+  let store = Tile_store.open_store ~dir "ckpt" in
   let codec = Exec.Iterate.marshal_codec () in
   let step ~crash_at ~iter st =
     if iter = crash_at then failwith "simulated crash";
@@ -211,7 +204,8 @@ let test_checkpoint_resume_after_crash () =
    fingerprint) must read as "no checkpoint" and be dropped, not
    resumed into the wrong run *)
 let test_checkpoint_fingerprint_mismatch () =
-  let store = Tile_store.open_store ~dir:(fresh_dir ()) "ckpt" in
+  with_tile_dir @@ fun dir ->
+  let store = Tile_store.open_store ~dir "ckpt" in
   let codec = Exec.Iterate.marshal_codec () in
   let step ~crash_at ~iter st =
     if iter = crash_at then failwith "simulated crash";
@@ -239,6 +233,12 @@ let test_checkpointed_pagerank () =
   let expect, eiters =
     Format_stats.with_enabled true (fun () -> Algorithms.Pagerank.native m)
   in
+  (* the checkpoint stream lives under the default tile root: point it
+     at a temporary directory for the length of the test *)
+  with_tile_dir @@ fun root ->
+  let saved = Option.value ~default:"" (Sys.getenv_opt "OGB_TILE_DIR") in
+  Unix.putenv "OGB_TILE_DIR" root;
+  Fun.protect ~finally:(fun () -> Unix.putenv "OGB_TILE_DIR" saved) @@ fun () ->
   with_tiled ~tile:(8, 8) m (fun t ->
       let got, giters = Oocore.Stream.pagerank ~ckpt:"pr-test" ~every:2 t in
       Alcotest.(check int) "same iterations" eiters giters;
@@ -252,7 +252,8 @@ let qcheck_delta_bfs_cc =
     (fun (n, coo, tile, budget) ->
       let m = sym_bool n coo in
       (* previous results on the pre-batch graph *)
-      let t = Tmatrix.of_smatrix ~dir:(fresh_dir ()) ~tile ~budget m in
+      with_tile_dir @@ fun dir ->
+      let t = Tmatrix.of_smatrix ~dir ~tile ~budget m in
       Fun.protect ~finally:(fun () -> Tmatrix.destroy t) @@ fun () ->
       let prev_bfs =
         Oocore.Delta.dense_of_svector ~n ~fill:0
@@ -286,7 +287,8 @@ let qcheck_delta_bfs_cc_directed =
              (fun (r, c, _) -> if r = c then None else Some (r, c, true))
              coo)
       in
-      let t = Tmatrix.of_smatrix ~dir:(fresh_dir ()) ~tile ~budget m in
+      with_tile_dir @@ fun dir ->
+      let t = Tmatrix.of_smatrix ~dir ~tile ~budget m in
       Fun.protect ~finally:(fun () -> Tmatrix.destroy t) @@ fun () ->
       let prev_bfs =
         Oocore.Delta.dense_of_svector ~n ~fill:0
@@ -431,7 +433,8 @@ let test_karate_tiled_ingest () =
   match find_karate () with
   | None -> Alcotest.skip ()
   | Some path -> (
-    match Tmatrix.of_mm_file ~dir:(fresh_dir ()) ~tile:(10, 10) ~budget:3_000 f64 path with
+    with_tile_dir @@ fun dir ->
+    match Tmatrix.of_mm_file ~dir ~tile:(10, 10) ~budget:3_000 f64 path with
     | Error e -> Alcotest.failf "karate ingest failed: %s" (Error.to_string e)
     | Ok t ->
       Fun.protect ~finally:(fun () -> Tmatrix.destroy t) @@ fun () ->

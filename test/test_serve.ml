@@ -16,12 +16,7 @@ let f64 = Dtype.FP64
 let with_fresh_jit f =
   let saved_dir = Jit.Disk_cache.dir () in
   let saved_backend = Jit.Dispatch.backend () in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ogb-serve-test-%d-%d" (Unix.getpid ())
-         (Random.int 100000))
-  in
+  Helpers.with_temp_dir "ogb-serve-test" @@ fun dir ->
   Jit.Disk_cache.set_dir dir;
   Jit.Dispatch.set_backend Jit.Dispatch.Closure;
   Jit.Dispatch.clear_memory_cache ();
@@ -518,6 +513,53 @@ let test_socket_end_to_end () =
     Alcotest.(check bool) "socket file removed on shutdown" false
       (Sys.file_exists sock)
 
+(* Shutdown with an idle client still connected: its reader thread sits
+   blocked in a read, and must not keep [wait] from returning. *)
+let test_stop_with_idle_client () =
+  Fault.suspended @@ fun () ->
+  with_fresh_jit @@ fun () ->
+  Helpers.with_temp_dir "ogb-serve-sock" @@ fun dir ->
+  let sock = Filename.concat dir "d.sock" in
+  let cfg =
+    { D.sock_path = sock;
+      tcp_addr = None;
+      workers = 1;
+      queue_cap = 4;
+      session_budget = 1;
+      batch_window = 0.0;
+      warm_n = 32;
+      warm = false }
+  in
+  match D.start cfg with
+  | Error e -> Alcotest.fail e
+  | Ok running ->
+    let c =
+      match Server.Client.connect ~sock () with
+      | Ok c -> c
+      | Error e -> Alcotest.fail e
+    in
+    (match Server.Client.request c (J.parse "{\"op\": \"ping\"}") with
+    | Ok r -> check_ok "ping" r
+    | Error e -> Alcotest.fail e);
+    D.stop running;
+    let finished = Atomic.make false in
+    let waiter =
+      Domain.spawn (fun () ->
+          D.wait running;
+          Atomic.set finished true)
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    let stopped = Atomic.get finished in
+    (* closing the client releases a hung daemon, so the suite goes on *)
+    Server.Client.close c;
+    Domain.join waiter;
+    Alcotest.(check bool) "wait returned with an idle client connected" true
+      stopped;
+    Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock)
+
 let suite =
   [ Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "wire framing" `Quick test_wire_roundtrip;
@@ -534,4 +576,6 @@ let suite =
     Alcotest.test_case "serve.batch.partial containment" `Quick
       test_batch_partial_containment;
     Alcotest.test_case "doctor/health json" `Quick test_health_json;
-    Alcotest.test_case "socket end-to-end" `Slow test_socket_end_to_end ]
+    Alcotest.test_case "socket end-to-end" `Slow test_socket_end_to_end;
+    Alcotest.test_case "stop with an idle client" `Slow
+      test_stop_with_idle_client ]

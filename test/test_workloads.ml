@@ -366,6 +366,141 @@ let test_bc_chaos () =
   Alcotest.(check bool) "centrality identical under pool faults" true
     (C.equal clean chaos)
 
+(* ---- tier-1 fixpoint exits ---- *)
+
+let wrap = Ogb.Vm_bridge.wrap_container
+
+(* The tier-1 scripts leave their loops at the fixpoint.  The reference
+   runs the same script for the whole round budget: one call per round,
+   each capped at a single round, with the state carried over in the
+   same containers. *)
+let labelprop_full_budget ~rounds gc =
+  let n = fst (C.shape gc) in
+  let adj = C.cast (Dtype.P Dtype.Int64) gc in
+  let diag = Algorithms.Labelprop.tie_break_diagonal n in
+  let labels = Algorithms.Labelprop.seed_labels n in
+  for _ = 1 to rounds do
+    ignore
+      (Algorithms.Vm_runtime.call_program Algorithms.Labelprop.vm_program
+         "labelprop"
+         [ wrap adj; wrap diag; wrap labels; Minivm.Value.Int 1 ])
+  done;
+  labels
+
+let ktruss_full_budget ~k ~rounds gc =
+  let nrows, ncols = C.shape gc in
+  let e = C.cast (Dtype.P Dtype.Int64) gc in
+  let support = C.matrix_empty ~dtype:(Dtype.P Dtype.Int64) nrows ncols in
+  for _ = 1 to rounds do
+    ignore
+      (Algorithms.Vm_runtime.call_program Algorithms.Ktruss.vm_program "ktruss"
+         [ wrap e; wrap support;
+           Minivm.Value.Float (float_of_int (k - 2));
+           Minivm.Value.Int 1 ])
+  done;
+  e
+
+let qcheck_fixpoint_exit_equals_budget =
+  qtest "labelprop/ktruss: vm fixpoint exit ≡ full round budget"
+    (fun (n, m, seed) ->
+      let gc = C.of_smatrix (sym_graph ~seed ~n ~m) in
+      let rounds = Algorithms.Labelprop.default_rounds in
+      C.equal
+        (Algorithms.Labelprop.vm_loops gc)
+        (labelprop_full_budget ~rounds gc)
+      && List.for_all
+           (fun k ->
+             C.equal
+               (Algorithms.Ktruss.vm_loops ~k gc)
+               (ktruss_full_budget ~k ~rounds:Algorithms.Ktruss.default_rounds
+                  gc))
+           [ 3; 4 ])
+
+let test_labelprop_oscillation_hits_cap () =
+  (* a 4-cycle is bipartite: synchronous sweeps flip between two
+     labelings forever, so only the round cap ends the loop *)
+  let coo =
+    List.concat_map
+      (fun (i, j) -> [ (i, j, true); (j, i, true) ])
+      [ (0, 1); (1, 2); (2, 3); (3, 0) ]
+  in
+  let adj = Smatrix.of_coo Dtype.Bool 4 4 coo in
+  let gc = C.of_smatrix adj in
+  let at rounds = Algorithms.Labelprop.vm_loops ~rounds gc in
+  List.iter
+    (fun rounds ->
+      let name what = Printf.sprintf "%s (%d rounds)" what rounds in
+      Alcotest.(check (list (pair int int)))
+        (name "vm ≡ full budget")
+        (int_labels_of_container (labelprop_full_budget ~rounds gc))
+        (int_labels_of_container (at rounds));
+      Alcotest.(check (list (pair int int)))
+        (name "vm ≡ native")
+        (int_svector_alist (Algorithms.Labelprop.native ~rounds adj))
+        (int_labels_of_container (at rounds));
+      Alcotest.(check int) (name "dsl ran to the cap") rounds
+        (snd (Algorithms.Labelprop.dsl ~rounds gc)))
+    [ 5; Algorithms.Labelprop.default_rounds ];
+  Alcotest.(check bool) "consecutive caps differ (still oscillating)" false
+    (C.equal (at 5) (at 6))
+
+(* Symmetric graphs made of several components plus isolated vertices:
+   blocks of consecutive ids get random internal edges (the last vertex
+   is a block of its own), then a permutation interleaves the
+   components. *)
+let components_arb =
+  let gen =
+    let open QCheck.Gen in
+    list_size (int_range 2 6) (int_range 1 6) >>= fun blocks ->
+    let n = List.fold_left ( + ) 1 blocks in
+    list_repeat (2 * n) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >>= fun pairs ->
+    shuffle_l (List.init n Fun.id) >|= fun perm -> (blocks, pairs, perm)
+  in
+  let print (blocks, pairs, perm) =
+    Printf.sprintf "blocks=[%s] pairs=[%s] perm=[%s]"
+      (String.concat ";" (List.map string_of_int blocks))
+      (String.concat ";"
+         (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) pairs))
+      (String.concat ";" (List.map string_of_int perm))
+  in
+  QCheck.make ~print gen
+
+let components_graph (blocks, pairs, perm) =
+  let n = List.length perm in
+  let block = Array.make n (List.length blocks) in
+  ignore
+    (List.fold_left
+       (fun (b, start) size ->
+         for v = start to start + size - 1 do
+           block.(v) <- b
+         done;
+         (b + 1, start + size))
+       (0, 0) blocks);
+  let perm = Array.of_list perm in
+  let coo =
+    List.concat_map
+      (fun (a, b) ->
+        if a = b || block.(a) <> block.(b) then []
+        else [ (perm.(a), perm.(b), true); (perm.(b), perm.(a), true) ])
+      pairs
+  in
+  Smatrix.of_coo Dtype.Bool n n coo
+
+let qcheck_cc_tiers_agree =
+  Helpers.qtest ~count:60 "cc: vm_loops ≡ native ≡ dsl on multi-component graphs"
+    components_arb
+    (fun case ->
+      let adj = components_graph case in
+      let expected = int_svector_alist (Algorithms.Connected_components.native adj) in
+      let gc = C.of_smatrix adj in
+      Algorithms.Connected_components.component_count
+        (Algorithms.Connected_components.native adj)
+      >= 2
+      && int_labels_of_container (Algorithms.Connected_components.dsl gc) = expected
+      && int_labels_of_container (Algorithms.Connected_components.vm_loops gc)
+         = expected)
+
 let suite =
   [ Alcotest.test_case "labelprop: tiers agree" `Quick
       test_labelprop_tiers_agree;
@@ -391,4 +526,8 @@ let suite =
       test_labelprop_chaos;
     Alcotest.test_case "chaos: ktruss under sched.worker.slow" `Quick
       test_ktruss_chaos;
-    Alcotest.test_case "chaos: bc under par.worker.exn" `Quick test_bc_chaos ]
+    Alcotest.test_case "chaos: bc under par.worker.exn" `Quick test_bc_chaos;
+    Helpers.to_alcotest qcheck_fixpoint_exit_equals_budget;
+    Alcotest.test_case "labelprop: oscillation hits the round cap" `Quick
+      test_labelprop_oscillation_hits_cap;
+    Helpers.to_alcotest qcheck_cc_tiers_agree ]
