@@ -5,11 +5,9 @@
    plan node over every location class execution can actually touch, and
    derives scheduler hazards from footprint overlap — the CSC detector
    falls out as the [Csc_cache] instance (Races is now a filter over
-   this analysis), and the vector representation switch surfaces a class
-   Races could not see: [Svector.unsafe_indices]/[unsafe_values]
-   sparsify a dense operand destructively (and [unsafe_dense] densifies
-   a sparse one), so two scheduler-concurrent kernels reading the same
-   physical dense vector both rebuild its sparse side at once.
+   this analysis).  Vectors are only read inside a plan: kernels read
+   them through [Svector.sparse_view], which never switches the
+   representation, so vector locations carry reads and never conflict.
 
    Locations are keyed by the *physical* backing storage, not the leaf
    node id: two distinct containers wrapping one [Svector]/[Smatrix]
@@ -28,7 +26,6 @@ type resource =
   | Mat_entries of int  (* CSR entries of the matrix canonical at [id] *)
   | Mat_csc of int  (* its lazily built CSC side-cache *)
   | Vec_entries of int  (* stored entries of the vector canonical at [id] *)
-  | Vec_rep of int  (* its sparse/dense representation switch *)
   | Node_out of int  (* a node's own (private) result slot *)
   | Accum_sink  (* the assignment sink's container (written post-plan) *)
   | Op_context  (* operator-context stack (read-only during execution) *)
@@ -37,7 +34,7 @@ type footprint = { node : int; effects : (resource * access) list }
 
 type kind = Write_write | Read_write
 
-type cls = Csc_cache | Rep_switch
+type cls = Csc_cache
 
 type hazard = {
   a : int;
@@ -141,17 +138,6 @@ let csc_touch_positions plan n =
     | _, _, _ -> [])
   | _ -> []
 
-(* Ops that hand vector operands to a kernel through the destructive
-   array ABI (unsafe_indices/unsafe_values sparsify a dense operand in
-   place).  Extract/Select read through the non-destructive accessors,
-   and Transpose is the identity. *)
-let destructive_vec_reader n =
-  match n.Plan.op with
-  | Plan.MatMul _ | Plan.Ewise _ | Plan.ApplyChain _ | Plan.EwiseApply _
-  | Plan.EwiseMultReduce _ | Plan.ReduceScalar _ -> true
-  | Plan.Leaf _ | Plan.Transpose | Plan.ReduceRows _ | Plan.ExtractVec _
-  | Plan.ExtractMat _ | Plan.Select _ -> false
-
 let has_operators n =
   match n.Plan.op with
   | Plan.Leaf _ | Plan.Transpose | Plan.ExtractVec _ | Plan.ExtractMat _
@@ -159,25 +145,10 @@ let has_operators n =
   | Plan.MatMul _ | Plan.Ewise _ | Plan.ApplyChain _ | Plan.EwiseApply _
   | Plan.EwiseMultReduce _ | Plan.ReduceRows _ | Plan.ReduceScalar _ -> true
 
-let vec_size infos id =
-  match Hashtbl.find_opt infos id with
-  | Some { Verify.shape = Verify.S_vec n; _ } -> Some n
-  | Some _ | None -> None
-
-(* Auto-densification floor (Svector's densify_worthwhile): vectors
-   smaller than this never grow a dense side, so their representation is
-   stable under the sparse ABI. *)
-let densify_floor = 32
-
 let footprints_canon ?(assume_formats = false) plan =
   let formats_on = assume_formats || Gbtl.Format_stats.enabled () in
   let order = Plan.topo plan in
   let canon = build_canon plan order in
-  let infos =
-    (* shape inference refines the representation-stability rule; a
-       plan the verifier rejects gets no refinement (conservative) *)
-    try Verify.infer ~stage:"effects" plan with _ -> Hashtbl.create 0
-  in
   let leaf_info id =
     (* canonical owner + observed storage facts, when [id] resolves to
        (an alias of) a leaf *)
@@ -186,8 +157,7 @@ let footprints_canon ?(assume_formats = false) plan =
       match Hashtbl.find_opt canon.conts owner with
       | Some (C.Mat (_, m) as c) ->
         Some (owner, c, `Mat (Gbtl.Smatrix.csc_cached m))
-      | Some (C.Vec (_, v) as c) ->
-        Some (owner, c, `Vec (Gbtl.Svector.is_dense v))
+      | Some (C.Vec _ as c) -> Some (owner, c, `Vec)
       | None -> None)
     | None -> None
   in
@@ -236,25 +206,8 @@ let footprints_canon ?(assume_formats = false) plan =
             if formats_on && List.mem pos touches then push (Mat_csc d, Write))
         | Plan.K_vec -> (
           match leaf_info d with
-          | Some (owner, _, `Vec dense) ->
-            push (Vec_entries owner, Read);
-            (* a dense operand is sparsified in place by the array ABI
-               regardless of the format toggle *)
-            if dense && destructive_vec_reader n then
-              push (Vec_rep owner, Write)
-          | Some _ | None ->
-            push (Node_out d, Read);
-            (* intermediates are built sparse and auto-densified when
-               the format layer finds it worthwhile — statically: any
-               vector at or above the densify floor may come out dense,
-               and the next kernel will sparsify it back *)
-            let unstable =
-              match vec_size infos d with
-              | Some sz -> sz >= densify_floor
-              | None -> true
-            in
-            if formats_on && unstable && destructive_vec_reader n then
-              push (Vec_rep d, Write)))
+          | Some (owner, _, `Vec) -> push (Vec_entries owner, Read)
+          | Some _ | None -> push (Node_out d, Read)))
       n.Plan.deps;
     { node = id; effects = List.rev !acc }
   in
@@ -264,30 +217,23 @@ let footprints ?assume_formats plan =
   snd (footprints_canon ?assume_formats plan)
 
 (* -- hazards --
-   Group resources by the storage they live in (a matrix's CSC cache
-   overlaps its entries; a vector's representation switch overlaps its
-   entries and, for intermediates, the node output it arrived as), then
-   report unordered writer/writer and writer/reader pairs per group.
-   Node outputs have exactly one writer — the producer, an ancestor of
-   every consumer — so they never conflict and only contribute reads. *)
+   Group matrix resources by the storage they live in (a matrix's CSC
+   cache overlaps its entries and, for intermediates, the node output it
+   arrived as), then report unordered writer/writer and writer/reader
+   pairs per group.  Node outputs have exactly one writer — the
+   producer, an ancestor of every consumer — so they never conflict and
+   only contribute reads; vector locations are only ever read. *)
 
 let find ?assume_formats plan =
   let order = Plan.topo plan in
   let canon, fps = footprints_canon ?assume_formats plan in
   let kind_of id = (Plan.node plan id).Plan.kind in
   let group_of = function
-    | Mat_entries l | Mat_csc l -> Some (`Mat l)
-    | Vec_entries l | Vec_rep l -> Some (`Vec l)
-    | Node_out d -> (
-      match kind_of d with
-      | Plan.K_mat -> Some (`Mat d)
-      | Plan.K_vec -> Some (`Vec d)
-      | Plan.K_scalar -> None)
-    | Accum_sink | Op_context -> None
+    | Mat_entries l | Mat_csc l -> Some l
+    | Node_out d when kind_of d = Plan.K_mat -> Some d
+    | Node_out _ | Vec_entries _ | Accum_sink | Op_context -> None
   in
-  let writers : ([ `Mat of int | `Vec of int ], IS.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let writers : (int, IS.t) Hashtbl.t = Hashtbl.create 16 in
   let readers = Hashtbl.create 16 in
   let add tbl g id =
     let cur =
@@ -300,7 +246,7 @@ let find ?assume_formats plan =
       List.iter
         (fun (r, a) ->
           match group_of r, a, r with
-          | Some g, Write, (Mat_csc _ | Vec_rep _) -> add writers g fp.node
+          | Some g, Write, Mat_csc _ -> add writers g fp.node
           | Some g, Read, _ -> add readers g fp.node
           | _, _, _ -> ())
         fp.effects)
@@ -330,15 +276,13 @@ let find ?assume_formats plan =
     (not (IS.mem a (ancestors b))) && not (IS.mem b (ancestors a))
   in
   let out : (int * int * int, hazard) Hashtbl.t = Hashtbl.create 8 in
-  let emit kind x y g =
-    let owner = match g with `Mat l | `Vec l -> l in
-    let cls = match g with `Mat _ -> Csc_cache | `Vec _ -> Rep_switch in
+  let emit kind x y owner =
     let a, b = if x <= y then (x, y) else (y, x) in
     if a <> b then begin
       let key = (a, b, owner) in
       if (not (Hashtbl.mem out key)) && unordered a b then
         Hashtbl.replace out key
-          { a; b; owner; cls; kind;
+          { a; b; owner; cls = Csc_cache; kind;
             container = Hashtbl.find_opt canon.conts owner }
     end
   in
@@ -366,9 +310,7 @@ let find ?assume_formats plan =
 
 (* -- remedies --
    Prebuild performs the lazy conversion eagerly, before any domain
-   starts: [ensure_csc] for a matrix index, [sparsify] for a dense
-   vector the sparse ABI would flip mid-flight.  Both are value-
-   preserving.  Hazards on intermediates have no container to prepare,
+   starts: [ensure_csc] for a matrix index (value-preserving).  Hazards on intermediates have no container to prepare,
    so they fall back to a dependency edge; Edge serializes the pair
    outright.  Every added edge is directed from the topo-earlier node
    to the topo-later one (positions taken before any edit), so the
@@ -391,7 +333,6 @@ let remedy ~strategy plan =
     (fun h ->
       match strategy, h.cls, h.container with
       | Prebuild, Csc_cache, Some (C.Mat (_, m)) -> Gbtl.Smatrix.ensure_csc m
-      | Prebuild, Rep_switch, Some (C.Vec (_, v)) -> Gbtl.Svector.sparsify v
       | Prebuild, _, _ | Edge, _, _ -> add_edge pos plan h)
     hazards;
   hazards
@@ -404,22 +345,18 @@ let kind_to_string = function
 
 let cls_to_string = function
   | Csc_cache -> "CSC side-cache"
-  | Rep_switch -> "sparse/dense representation"
 
 let describe h =
   Printf.sprintf
     "%s hazard on the %s of node #%d between unordered nodes #%d and #%d \
      (remedy: %s, or add a dependency edge)"
     (kind_to_string h.kind) (cls_to_string h.cls) h.owner h.a h.b
-    (match h.cls with
-    | Csc_cache -> "prebuild the index"
-    | Rep_switch -> "pre-sparsify the vector")
+    (match h.cls with Csc_cache -> "prebuild the index")
 
 let resource_to_string = function
   | Mat_entries l -> Printf.sprintf "mat#%d.entries" l
   | Mat_csc l -> Printf.sprintf "mat#%d.csc" l
   | Vec_entries l -> Printf.sprintf "vec#%d.entries" l
-  | Vec_rep l -> Printf.sprintf "vec#%d.rep" l
   | Node_out d -> Printf.sprintf "out#%d" d
   | Accum_sink -> "sink"
   | Op_context -> "ctx"

@@ -3,15 +3,13 @@
     scheduler hazards that follow from footprint overlap between
     unordered nodes.
 
-    Two location classes are mutable behind the scheduler's back, both
-    lazily converted storage sides:
-
-    - a matrix's CSC cache, built on first transposed dispatch
-      ([Csc_cache] — the special case the old [Races] pass knew);
-    - a vector's sparse/dense representation, flipped in place by the
-      kernel array ABI ([Rep_switch] — [Svector.unsafe_indices]
-      sparsifies a dense operand destructively, so two concurrent
-      kernel consumers of one physical dense vector race).
+    One location class is mutable behind the scheduler's back: a
+    matrix's CSC cache, a lazily converted storage side built on first
+    transposed dispatch ([Csc_cache] — the special case the old [Races]
+    pass knew).  Vectors are only read inside a plan: kernels read them
+    through [Svector.sparse_view], which never switches the
+    representation, so concurrent readers of one vector do not
+    conflict.
 
     Locations are canonical by {e physical} backing storage: distinct
     containers (or a vector [Transpose], the identity on its container)
@@ -24,7 +22,6 @@ type resource =
   | Mat_entries of int  (** CSR entries of the matrix canonical at id *)
   | Mat_csc of int  (** its lazily built CSC side-cache *)
   | Vec_entries of int  (** stored entries of the vector canonical at id *)
-  | Vec_rep of int  (** its sparse/dense representation switch *)
   | Node_out of int  (** a node's own (single-writer) result slot *)
   | Accum_sink  (** the assignment sink, written after the plan runs *)
   | Op_context  (** operator-context stack (read-only during execution) *)
@@ -33,7 +30,7 @@ type footprint = { node : int; effects : (resource * access) list }
 
 type kind = Write_write | Read_write
 
-type cls = Csc_cache | Rep_switch
+type cls = Csc_cache
 
 type hazard = {
   a : int;  (** the topo-smaller endpoint *)
@@ -61,13 +58,11 @@ val footprints : ?assume_formats:bool -> Exec.Plan.t -> footprint list
 val find : ?assume_formats:bool -> Exec.Plan.t -> hazard list
 (** Hazards between scheduler-unordered node pairs, write-write first
     per location, sorted by [(a, b, owner)].  CSC hazards require
-    format-aware dispatch ([assume_formats] or the runtime toggle);
-    dense-operand sparsification does not — the array ABI flips a dense
-    vector regardless. *)
+    format-aware dispatch ([assume_formats] or the runtime toggle). *)
 
 val remedy : strategy:strategy -> Exec.Plan.t -> hazard list
 (** Find and repair: [Prebuild] performs the lazy conversion eagerly
-    ([ensure_csc] / [sparsify] — value-preserving) and falls back to a
+    ([ensure_csc] — value-preserving) and falls back to a
     dependency edge for intermediates; [Edge] serializes each pair.
     Returns the hazards that were found (before repair). *)
 

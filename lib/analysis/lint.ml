@@ -100,31 +100,37 @@ let effects_self_tests () =
       | l ->
         add
           (Printf.sprintf "false positive: %s" (Effects.describe (List.hd l))));
-      (* seeded representation hazard: a dense vector with two unordered
-         kernel consumers (the array ABI sparsifies it in place) *)
+      (* a dense vector with two unordered kernel consumers is a
+         read-only share (kernels never switch its representation):
+         it must not be flagged *)
       let u64 = vec 64 1.0 and w1 = vec 64 2.0 and w2 = vec 64 3.0 in
-      let p3 =
+      let shared =
         plan_of (with_arith (fun () -> (!!u64 +: !!w1) +: (!!u64 +: !!w2)))
       in
-      if
-        not
-          (List.exists (fun h -> h.Effects.cls = Effects.Rep_switch) (find p3))
-      then
+      (match find shared with
+      | [] -> ()
+      | h :: _ ->
         add
-          "seeded sparse/dense representation hazard (shared dense operand) \
-           was not flagged";
-      (* aliasing: two distinct containers over one physical vector — the
+          (Printf.sprintf "false positive on a shared dense operand: %s"
+             (Effects.describe h)));
+      (* aliasing: two distinct containers over one physical matrix — the
          case leaf-node identity (and CSE) cannot see *)
-      let sv = Gbtl.Svector.of_dense Gbtl.Dtype.FP64 (Array.make 64 1.0) in
-      let u1 = Ogb.Container.of_svector sv
-      and u2 = Ogb.Container.of_svector sv in
-      let p4 =
-        plan_of (with_arith (fun () -> (!!u1 +: !!w1) +: (!!u2 +: !!w2)))
+      let sm =
+        Gbtl.Smatrix.of_dense Gbtl.Dtype.FP64
+          (Array.init 64 (fun i ->
+               Array.init 64 (fun j -> if i = j then 0.0 else 1.0)))
+      in
+      let a1 = Ogb.Container.of_smatrix sm
+      and a2 = Ogb.Container.of_smatrix sm in
+      let aliased =
+        plan_of (with_arith (fun () -> (tr !!a1 @. !!u) +: (tr !!a2 @. !!v)))
       in
       if
         not
-          (List.exists (fun h -> h.Effects.cls = Effects.Rep_switch) (find p4))
-      then add "aliased operands (two containers, one vector) were not flagged";
+          (List.exists
+             (fun h -> h.Effects.cls = Effects.Csc_cache)
+             (find aliased))
+      then add "aliased operands (two containers, one matrix) were not flagged";
       List.rev !fs)
 
 let run () =

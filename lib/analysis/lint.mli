@@ -1,7 +1,7 @@
 (** The analysis side of [ogb lint]: effect-system self-tests over
-    seeded fixture plans (a CSC-cache hazard, a representation hazard, an
-    aliased-operand hazard, and a hazard-free control — all lowered and
-    planned by the real pipeline) plus the {!Certify} parallel-kernel
+    seeded fixture plans (a CSC-cache hazard, an aliased-operand hazard,
+    a read-only shared dense vector and a hazard-free control — all
+    lowered and planned by the real pipeline) plus the {!Certify} parallel-kernel
     certification.  The CLI aggregates these with the daemon's
     {!Server.Audit} and exits nonzero on any finding. *)
 

@@ -57,6 +57,13 @@ let unify (Dtype.P into as packed) c =
     | Container.Mat (_, m) -> Container.Mat (into, Smatrix.promoted ~into m)
     | Container.Vec _ -> Container.cast packed c
 
+(* A kernel's result entries become the temporary as they are: sparse,
+   adopting the kernel's fresh arrays.  The write step (or the next
+   kernel) reads them where they lie; densifying here would only be
+   walked back into entries. *)
+let temp_vec dt size entries =
+  Container.Vec (dt, Svector.of_entries_unsafe dt size entries)
+
 let mmask_of_spec spec =
   match spec.container with
   | Container.Mat (dt, m) ->
@@ -152,16 +159,12 @@ and eval ?mask (e : t) : Container.t =
       let m = Container.as_matrix dt ca and v = Container.as_vector dt cb in
       let out_size = if ta then Smatrix.ncols m else Smatrix.nrows m in
       let entries = Jit.Kernels.mxv dt sr ~transpose:ta m v in
-      let out = Svector.create dt out_size in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out)
+      temp_vec dt out_size entries
     | Container.Vec (_, _), Container.Mat (_, _) ->
       let v = Container.as_vector dt ca and m = Container.as_matrix dt cb in
       let out_size = if tb then Smatrix.nrows m else Smatrix.ncols m in
       let entries = Jit.Kernels.vxm dt sr ~transpose:tb v m in
-      let out = Svector.create dt out_size in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out)
+      temp_vec dt out_size entries
     | Container.Vec (_, _), Container.Vec (_, _) ->
       eerr "@ between two vectors (use eWiseMult + reduce for a dot product)")
   | EwiseAdd { a; b; op } -> eval_ewise `Add op a b
@@ -182,9 +185,7 @@ and eval ?mask (e : t) : Container.t =
         eerr "element-wise operation on vectors of sizes %d and %d"
           (Svector.size u) (Svector.size v);
       let entries = Jit.Kernels.ewise_fused_v kind dt ~op ~chain u v in
-      let out = Svector.create dt (Svector.size u) in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out))
+      temp_vec dt (Svector.size u) entries)
   | Apply { f; x } -> (
     let c, transposed = eval_operand x in
     (* Operation fusion (the paper's §V planned lazy-evaluation feature):
@@ -201,9 +202,7 @@ and eval ?mask (e : t) : Container.t =
       end
       else begin
         let entries = Jit.Kernels.apply_v dt f v in
-        let out = Svector.create dt (Svector.size v) in
-        Svector.replace_contents out entries;
-        Container.Vec (dt, out)
+        temp_vec dt (Svector.size v) entries
       end
     | Container.Mat (dt, m) ->
       if fresh && not transposed then begin
@@ -220,9 +219,7 @@ and eval ?mask (e : t) : Container.t =
         Jit.Kernels.reduce_rows dt ~op ~identity ~transpose:transposed m
       in
       let size = if transposed then Smatrix.ncols m else Smatrix.nrows m in
-      let out = Svector.create dt size in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out)
+      temp_vec dt size entries
     | Container.Vec _ -> eerr "reduce_rows on a vector")
   | ExtractVec { x; idx } -> (
     match eval x with
@@ -270,9 +267,7 @@ and eval_ewise kind op a b =
       eerr "element-wise operation on vectors of sizes %d and %d"
         (Svector.size u) (Svector.size v);
     let entries = Jit.Kernels.ewise_v kind dt ~op u v in
-    let out = Svector.create dt (Svector.size u) in
-    Svector.replace_contents out entries;
-    Container.Vec (dt, out)
+    temp_vec dt (Svector.size u) entries
   | Container.Mat (_, _), Container.Mat (_, _) ->
     let ma = Container.as_matrix dt ca and mb = Container.as_matrix dt cb in
     Container.Mat

@@ -34,7 +34,9 @@ let accum_binop (type a) (dt : a Dtype.t) = function
 (* The shared write step: temp (the evaluated expression) into target.
    Whole-container unmasked, unaccumulated assignment moves the evaluated
    result in wholesale (the paper's no-extra-temporary goal); everything
-   else goes through the full GraphBLAS write semantics. *)
+   else goes through the full GraphBLAS write semantics.  Either way a
+   vector temporary is read through [Svector.entries], a view of the
+   kernel's arrays, and written in the target's representation. *)
 let write ?mask ?accum ~replace target temp =
   let spec = mask_spec mask in
   match target with

@@ -462,10 +462,10 @@ let mmask_of_spec (spec : Ogb.Expr.mask_spec) =
   | C.Mat (_, m) -> Mask.mmask ~complemented:spec.Ogb.Expr.complemented m
   | C.Vec _ -> raise (Ogb.Expr.Eval_error "matrix operation masked by a vector")
 
+(* Node results stay in the kernel's sparse arrays, as the blocking
+   evaluator's temporaries do (Expr.temp_vec). *)
 let vec_of_entries dt size entries =
-  let out = Svector.create dt size in
-  Svector.replace_contents out entries;
-  C.Vec (dt, out)
+  C.Vec (dt, Svector.of_entries_unsafe dt size entries)
 
 let promote2 ca cb =
   let (Dtype.P dt) = Dtype.promote (C.dtype ca) (C.dtype cb) in

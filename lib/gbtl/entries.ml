@@ -52,3 +52,5 @@ let of_alist l =
   let e = create () in
   List.iter (fun (i, v) -> push e i v) sorted;
   e
+
+let to_arrays_unsafe e = (e.idx, e.vals, e.len)

@@ -20,3 +20,7 @@ val of_alist : (int * 'a) list -> 'a t
 val of_arrays_unsafe : int array -> 'a array -> len:int -> 'a t
 (** Adopts the arrays without copying; indices must already be strictly
     ascending over the first [len] cells. *)
+
+val to_arrays_unsafe : 'a t -> int array * 'a array * int
+(** [(indices, values, len)]: the live arrays, only the first [len]
+    cells meaningful.  Read-only for the caller. *)

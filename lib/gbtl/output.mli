@@ -26,7 +26,8 @@ val masked_entries :
   t:'a Entries.t ->
   'a Entries.t
 (** Pure form of the write step on one index space (a vector, or one
-    matrix row). *)
+    matrix row) — the specification {!write_vector} and {!write_matrix}
+    are tested against. *)
 
 val write_vector :
   mask:Mask.vmask ->
@@ -35,9 +36,13 @@ val write_vector :
   out:'a Svector.t ->
   t:'a Entries.t ->
   unit
-(** Applies {!masked_entries} against [out]'s current contents and stores
-    the result in place.  @raise Svector.Dimension_mismatch on mask size
-    mismatch. *)
+(** Computes {!masked_entries} of [out]'s current contents in one fused
+    pass and stores the result in [out]'s own representation: fresh
+    arrays for a sparse target; the dense payload, edited in place, for
+    a dense one — only T's positions when there is an accumulator and no
+    mask.  [t] may be a view of [out] or of the mask's vector.
+    @raise Svector.Dimension_mismatch on mask size mismatch
+    @raise Svector.Index_out_of_bounds if [t] reaches past [out]'s size *)
 
 val write_matrix :
   mask:Mask.mmask ->
@@ -46,4 +51,5 @@ val write_matrix :
   out:'a Smatrix.t ->
   t:'a Entries.t array ->
   unit
-(** Row-wise write step; [t] has one entry sequence per output row. *)
+(** Row-wise write step, fused like {!write_vector} into one pass over
+    the CSR rows; [t] has one entry sequence per output row. *)

@@ -7,11 +7,16 @@
 
    Exactly one side is authoritative at a time: [dense = Some d] means
    the dense payload holds the entries and the sparse arrays are stale;
-   [dense = None] means the sparse arrays hold them.  Conversions are
-   explicit ([densify]/[sparsify]) plus a fill-ratio auto-switch on bulk
-   writes, gated by [Format_stats.enabled].  Logical iteration order is
-   ascending index in both representations, so every consumer sees the
-   same entry sequence (bit-identical results either way). *)
+   [dense = None] means the sparse arrays hold them.  Reads never switch
+   the representation: kernels read through [sparse_view] (the sparse
+   arrays themselves, or a fresh compacted copy of a dense payload), so
+   a vector shared by concurrent readers is never written by them.
+   Conversions are explicit ([densify]/[sparsify]) plus a fill-ratio
+   auto-switch after bulk writes, gated by [Format_stats.enabled]: a
+   sparse result at or above 1/4 fill densifies, a dense one below 1/16
+   sparsifies.  Logical iteration order is ascending index in both
+   representations, so every consumer sees the same entry sequence
+   (bit-identical results either way). *)
 
 type 'a dense = { dvals : 'a array; valid : bool array }
 
@@ -81,23 +86,27 @@ let do_densify ~auto v =
     v.dense <- Some { dvals; valid };
     Format_stats.record_densify ~auto
 
+(* Ascending (index, value) arrays of the valid cells, exact size. *)
+let compact v { dvals; valid } =
+  let n = v.nvals in
+  let idx = Array.make n 0 and vals = Array.make n (Dtype.zero v.dt) in
+  let k = ref 0 in
+  for i = 0 to v.size - 1 do
+    if valid.(i) then begin
+      idx.(!k) <- i;
+      vals.(!k) <- dvals.(i);
+      incr k
+    end
+  done;
+  (idx, vals)
+
 let do_sparsify ~auto v =
   match v.dense with
   | None -> ()
-  | Some { dvals; valid } ->
-    let n = v.nvals in
-    if Array.length v.idx < n then begin
-      v.idx <- Array.make (max n 8) 0;
-      v.vals <- Array.make (max n 8) (Dtype.zero v.dt)
-    end;
-    let k = ref 0 in
-    for i = 0 to v.size - 1 do
-      if valid.(i) then begin
-        v.idx.(!k) <- i;
-        v.vals.(!k) <- dvals.(i);
-        incr k
-      end
-    done;
+  | Some d ->
+    let idx, vals = compact v d in
+    v.idx <- idx;
+    v.vals <- vals;
     v.dense <- None;
     Format_stats.record_sparsify ~auto
 
@@ -107,6 +116,10 @@ let sparsify v = do_sparsify ~auto:false v
 let maybe_densify v =
   if Format_stats.enabled () && (not (is_dense v)) && densify_worthwhile v
   then do_densify ~auto:true v
+
+let maybe_sparsify v =
+  if Format_stats.enabled () && is_dense v && sparsify_worthwhile v then
+    do_sparsify ~auto:true v
 
 let get v i =
   check_index v i "Svector.get";
@@ -154,8 +167,7 @@ let remove v i =
     if valid.(i) then begin
       valid.(i) <- false;
       v.nvals <- v.nvals - 1;
-      if Format_stats.enabled () && sparsify_worthwhile v then
-        do_sparsify ~auto:true v
+      maybe_sparsify v
     end
   | None -> (
     match find v i with
@@ -226,24 +238,37 @@ let of_dense_drop_zeros dt arr =
   maybe_densify v;
   v
 
+(* Wholesale replacement in the vector's own representation: a dense
+   vector is rewritten in place (unless the new contents fall below the
+   sparsify threshold), a sparse one copies into its own arrays. *)
 let replace_contents v e =
-  let n = Entries.length e in
-  if n > 0 then begin
-    let last = Entries.get_idx e (n - 1) in
-    if last >= v.size then
-      raise
-        (Index_out_of_bounds
-           (Printf.sprintf "Svector.replace_contents: index %d outside [0, %d)"
-              last v.size));
-    ensure_capacity v n (Entries.get_val e 0)
-  end;
-  for k = 0 to n - 1 do
-    v.idx.(k) <- Entries.get_idx e k;
-    v.vals.(k) <- Entries.get_val e k
-  done;
-  v.nvals <- n;
-  v.dense <- None;
-  maybe_densify v
+  let eidx, evals, n = Entries.to_arrays_unsafe e in
+  if n > 0 && eidx.(n - 1) >= v.size then
+    raise
+      (Index_out_of_bounds
+         (Printf.sprintf "Svector.replace_contents: index %d outside [0, %d)"
+            eidx.(n - 1) v.size));
+  match v.dense with
+  | Some { dvals; valid }
+    when not (Format_stats.enabled () && 16 * n < v.size) ->
+    Array.fill valid 0 (Array.length valid) false;
+    for k = 0 to n - 1 do
+      dvals.(eidx.(k)) <- evals.(k);
+      valid.(eidx.(k)) <- true
+    done;
+    v.nvals <- n
+  | Some _ | None ->
+    v.dense <- None;
+    if Array.length v.idx < n then begin
+      v.idx <- Array.make n 0;
+      v.vals <- Array.make n evals.(0)
+    end;
+    (* [e] may be this vector's own view: copying cell k onto cell k is
+       then the identity *)
+    Array.blit eidx 0 v.idx 0 n;
+    Array.blit evals 0 v.vals 0 n;
+    v.nvals <- n;
+    maybe_densify v
 
 let iter f v =
   match v.dense with
@@ -256,10 +281,16 @@ let iter f v =
       f v.idx.(k) v.vals.(k)
     done
 
+let sparse_view v =
+  match v.dense with
+  | None -> (v.idx, v.vals, v.nvals)
+  | Some d ->
+    let idx, vals = compact v d in
+    (idx, vals, v.nvals)
+
 let entries v =
-  let e = Entries.create () in
-  iter (fun i x -> Entries.push e i x) v;
-  e
+  let idx, vals, n = sparse_view v in
+  Entries.of_arrays_unsafe idx vals ~len:n
 
 let fold f init v =
   let acc = ref init in
@@ -335,19 +366,25 @@ let equal a b =
     true
   with Exit -> false
 
-let unsafe_indices v =
-  do_sparsify ~auto:false v;
-  v.idx
-
-let unsafe_values v =
-  do_sparsify ~auto:false v;
-  v.vals
-
-let unsafe_dense v =
-  do_densify ~auto:false v;
+let dense_payload v =
   match v.dense with
-  | Some { dvals; valid } -> (dvals, valid)
-  | None -> assert false
+  | Some { dvals; valid } -> Some (dvals, valid)
+  | None -> None
+
+let commit_dense v ~nvals =
+  v.nvals <- nvals;
+  maybe_sparsify v
+
+let adopt_sparse v ~idx ~vals ~nvals =
+  v.idx <- idx;
+  v.vals <- vals;
+  v.nvals <- nvals;
+  v.dense <- None;
+  maybe_densify v
+
+let of_entries_unsafe dt size e =
+  let idx, vals, n = Entries.to_arrays_unsafe e in
+  { dt; size; nvals = n; idx; vals; dense = None }
 
 let of_dense_unsafe dt ~vals ~valid =
   let size = Array.length valid in

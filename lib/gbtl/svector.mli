@@ -7,10 +7,12 @@
 
     Logical content is representation-independent: iteration always runs
     in ascending index order over stored entries, and {!equal} compares
-    entries, not layouts.  Conversions are explicit ({!densify} /
-    {!sparsify}); bulk writes ({!replace_contents}, {!of_dense}, ...)
-    auto-switch on fill ratio (dense at ≥ 1/4 fill for sizes ≥ 32, back
-    to sparse below 1/16) when {!Format_stats.enabled} is set. *)
+    entries, not layouts.  Reads never switch the representation.
+    Conversions are explicit ({!densify} / {!sparsify}); bulk writes
+    ({!replace_contents}, {!adopt_sparse}, {!commit_dense}, {!of_dense},
+    ...) keep the vector's representation and then auto-switch on fill
+    ratio (dense at ≥ 1/4 fill for sizes ≥ 32, back to sparse below
+    1/16) when {!Format_stats.enabled} is set. *)
 
 type 'a t
 
@@ -65,11 +67,16 @@ val dup : 'a t -> 'a t
 (** Same entries, same representation. *)
 
 val replace_contents : 'a t -> 'a Entries.t -> unit
-(** Overwrite the stored entries wholesale (used by the output-write
-    step); indices must lie within [size].  May auto-densify. *)
+(** Overwrite the stored entries wholesale (the unmasked, unaccumulated
+    write step): in place when the vector is dense, into its own arrays
+    when sparse; indices must lie within [size].  [e] may be the
+    vector's own {!entries}.  May auto-switch representation.
+    @raise Index_out_of_bounds *)
 
 val entries : 'a t -> 'a Entries.t
-(** Snapshot of the stored entries. *)
+(** The stored entries as a read-only view: a sparse vector's own arrays
+    (valid until its next write), or a fresh compacted copy of a dense
+    one.  Never switches the representation. *)
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> int -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
@@ -89,18 +96,36 @@ val equal : 'a t -> 'a t -> bool
 
 val pp : Format.formatter -> 'a t -> unit
 
-(** {2 Direct access for kernels}
+(** {2 Direct access for kernels and the write step}
 
-    Live internal buffers that must not be mutated by callers.  The
-    sparse accessors sparsify first (only the first [nvals] cells are
-    meaningful); {!unsafe_dense} densifies first. *)
+    Live internal buffers that callers must not mutate unless stated. *)
 
-val unsafe_indices : 'a t -> int array
-val unsafe_values : 'a t -> 'a array
+val sparse_view : 'a t -> int array * 'a array * int
+(** [(indices, values, nvals)] in ascending index order, only the first
+    [nvals] cells meaningful: a sparse vector's own arrays, or a fresh
+    compacted copy of a dense one.  Read-only; never switches the
+    representation, so concurrent readers of one vector never write
+    it. *)
 
-val unsafe_dense : 'a t -> 'a array * bool array
-(** [(values, validity)], both of length [size] (length 1 for size-0
-    vectors). *)
+val dense_payload : 'a t -> ('a array * bool array) option
+(** [Some (values, validity)] — the live dense payload (length [size],
+    1 for size-0 vectors) — when the vector is dense; [None] when
+    sparse.  The write step edits it in place and then calls
+    {!commit_dense}. *)
+
+val commit_dense : 'a t -> nvals:int -> unit
+(** Record the valid-cell count after an in-place edit of the
+    {!dense_payload}; may auto-sparsify. *)
+
+val adopt_sparse : 'a t -> idx:int array -> vals:'a array -> nvals:int -> unit
+(** Make the first [nvals] cells of [idx]/[vals] (strictly ascending,
+    within [size]) the vector's contents, without copying; the vector
+    owns the arrays afterwards.  May auto-densify. *)
+
+val of_entries_unsafe : 'a Dtype.t -> int -> 'a Entries.t -> 'a t
+(** A sparse vector adopting the arrays of fresh kernel-result entries
+    without copying or switching representation (expression
+    temporaries).  Indices must lie within the size. *)
 
 val of_dense_unsafe : 'a Dtype.t -> vals:'a array -> valid:bool array -> 'a t
 (** Adopt well-formed dense arrays without copying (kernel results);

@@ -72,12 +72,13 @@ type 'a matvec_arg =
 
 let matvec_arg (type a) (m : a Smatrix.t) (u : a Svector.t) flag : a matvec_arg
     =
+  let uidx, uvls, un = Svector.sparse_view u in
   ( Smatrix.unsafe_rowptr m,
     Smatrix.unsafe_colidx m,
     Smatrix.unsafe_values m,
-    Svector.unsafe_indices u,
-    Svector.unsafe_values u,
-    Svector.nvals u,
+    uidx,
+    uvls,
+    un,
     Smatrix.nrows m,
     Smatrix.ncols m,
     flag )
@@ -178,12 +179,13 @@ let mxv_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
       else Format_stats.record_push ();
     let arg : a matvec_arg =
       if use_pull then
+        let uidx, uvls, un = Svector.sparse_view u in
         ( Smatrix.unsafe_colptr m,
           Smatrix.unsafe_rowidx m,
           Smatrix.unsafe_cvals m,
-          Svector.unsafe_indices u,
-          Svector.unsafe_values u,
-          Svector.nvals u,
+          uidx,
+          uvls,
+          un,
           Smatrix.ncols m,
           Smatrix.nrows m,
           false )
@@ -525,6 +527,11 @@ let vxm_tile_acc (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
 
 type 'a ewise_arg = int array * 'a array * int * int array * 'a array * int
 
+let ewise_arg (type a) (u : a Svector.t) (v : a Svector.t) : a ewise_arg =
+  let uidx, uvls, un = Svector.sparse_view u
+  and vidx, vvls, vn = Svector.sparse_view v in
+  (uidx, uvls, un, vidx, vvls, vn)
+
 type 'a dense_pair_arg = 'a array * bool array * 'a array * bool array
 
 let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
@@ -679,14 +686,7 @@ let ewise_v (type a) kind (dt : a Dtype.t) ~op (u : a Svector.t)
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
-  in
+  let arg = ewise_arg u v in
   entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
 let ewise_fused_v (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
@@ -733,14 +733,7 @@ let ewise_fused_v (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
-  in
+  let arg = ewise_arg u v in
   entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
 let apply_chain_v (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) =
@@ -764,9 +757,7 @@ let apply_chain_v (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) =
         Obj.repr (Array_kernels.apply_v ~f:g (aidx, avls, an)))
   in
   let kernel : Obj.t -> Obj.t = Obj.obj (Dispatch.get sig_ ~build ()) in
-  let arg =
-    (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
-  in
+  let arg = Svector.sparse_view u in
   entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
 let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
@@ -796,14 +787,7 @@ let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
              ([||], rvls, Array.length rvls)))
   in
   let kernel : Obj.t -> Obj.t = Obj.obj (Dispatch.get sig_ ~build ()) in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
-  in
+  let arg = ewise_arg u v in
   (Obj.obj (kernel (Obj.repr arg)) : a)
 
 let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
@@ -832,9 +816,7 @@ let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
-  let arg =
-    (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
-  in
+  let arg = Svector.sparse_view u in
   entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
 let reduce_v_scalar (type a) (dt : a Dtype.t) ~op ~identity (u : a Svector.t) :
@@ -873,7 +855,10 @@ let reduce_v_scalar (type a) (dt : a Dtype.t) ~op ~identity (u : a Svector.t) :
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
-  let arg = (Svector.unsafe_values u, Svector.nvals u) in
+  let arg =
+    let _, uvls, un = Svector.sparse_view u in
+    (uvls, un)
+  in
   (Obj.obj (kernel (Obj.repr arg)) : a)
 
 (* -- matrix family: closure kernels wrapping the GBTL operations -- *)

@@ -25,15 +25,17 @@ let vec n x = Ogb.Container.of_svector (Svector.of_dense f64 (Array.make n x))
 (* -- adversarial scenarios, each with its ground-truth hazard class --
 
    Sizes stay >= 32 so the layout heuristic picks pull for filled
-   vectors (the CSC-building direction); representation hazards are
-   layout-independent.  Plans are lowered and rewritten without the
-   planner so the seeded layout is deterministic. *)
+   vectors (the CSC-building direction).  Shared vectors are clean:
+   kernels read them without switching their representation.  Plans are
+   lowered and rewritten without the planner so the seeded layout is
+   deterministic. *)
 
 type scenario =
   | Shared_uncached of int  (* y = A.T@u + A.T@v, one uncached A: CSC WW *)
   | Shared_cached of int  (* same, but the index is prebuilt: clean *)
-  | Shared_dense_vec of int  (* (u+w1)+(u+w2): rep switch on shared u *)
-  | Aliased_vec of int  (* two containers over one storage: rep switch *)
+  | Shared_dense_vec of int  (* (u+w1)+(u+w2): shared u only read, clean *)
+  | Aliased_vec of int  (* two containers over one vector: reads, clean *)
+  | Aliased_mat of int  (* two containers over one uncached A: CSC WW *)
   | Inplace_accum of int  (* y = u + (A@u): consumers ordered, clean *)
   | Single_toucher of int  (* one transposed pull: no second toucher *)
 
@@ -42,13 +44,15 @@ let print_scenario = function
   | Shared_cached n -> Printf.sprintf "shared-cached-leaf(n=%d)" n
   | Shared_dense_vec n -> Printf.sprintf "shared-dense-vec(n=%d)" n
   | Aliased_vec n -> Printf.sprintf "aliased-operands(n=%d)" n
+  | Aliased_mat n -> Printf.sprintf "aliased-matrix(n=%d)" n
   | Inplace_accum n -> Printf.sprintf "in-place-accum(n=%d)" n
   | Single_toucher n -> Printf.sprintf "single-toucher(n=%d)" n
 
 let expected_cls = function
-  | Shared_uncached _ -> Some Effects.Csc_cache
-  | Shared_dense_vec _ | Aliased_vec _ -> Some Effects.Rep_switch
-  | Shared_cached _ | Inplace_accum _ | Single_toucher _ -> None
+  | Shared_uncached _ | Aliased_mat _ -> Some Effects.Csc_cache
+  | Shared_cached _ | Shared_dense_vec _ | Aliased_vec _ | Inplace_accum _
+  | Single_toucher _ ->
+    None
 
 let expr_of sc =
   let open Ogb.Ops.Infix in
@@ -70,6 +74,11 @@ let expr_of sc =
         let u1 = Ogb.Container.of_svector sv
         and u2 = Ogb.Container.of_svector sv in
         (!!u1 +: !!(vec n 2.0)) +: (!!u2 +: !!(vec n 3.0))
+      | Aliased_mat n ->
+        let sm = mat n in
+        let a1 = Ogb.Container.of_smatrix sm
+        and a2 = Ogb.Container.of_smatrix sm in
+        (tr !!a1 @. !!(vec n 1.0)) +: (tr !!a2 @. !!(vec n 2.0))
       | Inplace_accum n ->
         let u = vec n 1.0 in
         !!u +: (!!(Ogb.Container.of_smatrix (mat n)) @. !!u)
@@ -86,7 +95,7 @@ let scenario_gen =
     let* n = int_range 32 72 in
     oneofl
       [ Shared_uncached n; Shared_cached n; Shared_dense_vec n;
-        Aliased_vec n; Inplace_accum n; Single_toucher n ])
+        Aliased_vec n; Aliased_mat n; Inplace_accum n; Single_toucher n ])
 
 let qcheck_ground_truth =
   QCheck.Test.make ~count:60 ~name:"adversarial plans match seeded ground truth"
@@ -114,6 +123,9 @@ let qcheck_planner_schedules_safe =
       (* chaos runs arm analysis.effects.exn suite-wide; this property is
          about the un-degraded pipeline, the degrade path has its own test *)
       Fault.suspended @@ fun () ->
+      (* the pipeline must remedy what the format-aware analysis finds,
+         so run it format-aware whatever the ambient OGB_FORMATS says *)
+      Format_stats.with_enabled true @@ fun () ->
       Analysis.Hook.install ();
       Fun.protect ~finally:Analysis.Hook.uninstall (fun () ->
           let plan = Exec.plan_force (expr_of sc) in

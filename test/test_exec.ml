@@ -197,7 +197,9 @@ let test_select_layout () =
       (Ogb.Expr.transpose (Ogb.Expr.of_container a))
       (Ogb.Expr.of_container x)
   in
-  let plan = Exec.plan_force e in
+  (* the annotation is the format layer's: pin it on, whatever the
+     ambient OGB_FORMATS says *)
+  let plan = Format_stats.with_enabled true (fun () -> Exec.plan_force e) in
   (match (Exec.Plan.root plan).Exec.Plan.op with
   | Exec.Plan.MatMul { layout = Exec.Plan.L_csc_push; _ } ->
     (* the leaf vector has 6 slots (< 32), so the kernel will push *)

@@ -311,6 +311,202 @@ let test_pagerank_smoke () =
   in
   Alcotest.check svec "small-graph ranks agree" r0 r1
 
+(* -- reads never switch the representation --
+
+   Kernels read vectors through [Svector.sparse_view]: a dense operand is
+   compacted into a fresh copy, never sparsified in place, so a shared
+   vector read by concurrent products stays exactly as it was. *)
+
+let weighted_er ~seed n =
+  let rng = Graphs.Rng.create ~seed in
+  Graphs.Convert.matrix_of_edges f64
+    (Graphs.Generators.erdos_renyi_gnm
+       ~weight:(fun r -> float_of_int (1 + Graphs.Rng.int r 9))
+       rng ~nvertices:n ~nedges:(4 * n))
+
+let filled_dense n =
+  let v =
+    Svector.of_coo f64 n
+      (List.init n (fun i -> (i, float_of_int ((i * 7 mod 11) - 5))))
+  in
+  Svector.remove v 3;
+  Svector.densify v;
+  v
+
+let bits v = List.map (fun (i, x) -> (i, Int64.bits_of_float x)) (Svector.to_alist v)
+
+let test_reads_do_not_write () =
+  Format_stats.with_enabled true (fun () ->
+      let n = 64 in
+      let a = weighted_er ~seed:3 n in
+      Smatrix.ensure_csc a;
+      let u = filled_dense n in
+      let before = bits u in
+      let sr = Jit.Op_spec.arithmetic in
+      let conversions () =
+        let c = Format_stats.counters () in
+        List.assoc "densify" c + List.assoc "sparsify" c
+      in
+      let c0 = conversions () in
+      List.iter
+        (fun (name, read) ->
+          ignore (read ());
+          Alcotest.(check bool) (name ^ ": operand still dense") true
+            (Svector.is_dense u);
+          Alcotest.(check (list (pair int int64)))
+            (name ^ ": operand contents unchanged") before (bits u))
+        [ ("mxv", fun () -> Jit.Kernels.mxv f64 sr ~transpose:false a u |> Entries.length);
+          ("mxv transposed (pull)", fun () ->
+            Jit.Kernels.mxv f64 sr ~transpose:true a u |> Entries.length);
+          ("mxv transposed (push)", fun () ->
+            Jit.Kernels.mxv f64 sr ~direction:`Push ~transpose:true a u
+            |> Entries.length);
+          ("vxm", fun () -> Jit.Kernels.vxm f64 sr ~transpose:false u a |> Entries.length);
+          ("ewise_v add", fun () ->
+            Jit.Kernels.ewise_v `Add f64 ~op:"Plus" u u |> Entries.length);
+          ("ewise_v mult", fun () ->
+            Jit.Kernels.ewise_v `Mult f64 ~op:"Times" u (Svector.dup u)
+            |> Entries.length);
+          ("reduce_v_scalar", fun () ->
+            int_of_float
+              (Jit.Kernels.reduce_v_scalar f64 ~op:"Plus" ~identity:"0" u)) ];
+      Alcotest.(check int) "no representation conversions" c0 (conversions ()))
+
+let test_concurrent_shared_reads () =
+  let n = 96 in
+  let a = weighted_er ~seed:5 n in
+  Smatrix.ensure_csc a;
+  let u = filled_dense n in
+  let sr = Jit.Op_spec.min_plus in
+  let product () =
+    ( Entries.to_alist (Jit.Kernels.mxv f64 sr ~transpose:true a u),
+      Entries.to_alist (Jit.Kernels.mxv f64 sr ~transpose:false a u),
+      Entries.to_alist (Jit.Kernels.vxm f64 sr ~transpose:false u a) )
+  in
+  let expected = product () in
+  let before = bits u in
+  let worker () = List.init 40 (fun _ -> product ()) in
+  let results = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn worker)) in
+  List.iteri
+    (fun d rs ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d: same products" d)
+            true (r = expected))
+        rs)
+    results;
+  Alcotest.(check bool) "shared vector still dense" true (Svector.is_dense u);
+  Alcotest.(check (list (pair int int64))) "shared vector unchanged" before
+    (bits u)
+
+(* -- aliasing: the target is also an operand or the mask --
+
+   The write step updates a dense target in place, so each case runs
+   with the target dense and sparse, through the blocking and the
+   nonblocking evaluator, and is compared with the generic library
+   tier (Gbtl operations on a separate copy). *)
+
+let aliasing_cases n =
+  let open Ogb in
+  let open Ogb.Ops.Infix in
+  let graph = weighted_er ~seed:9 n in
+  let g = Container.of_smatrix graph in
+  let min_plus = Semiring.min_plus f64 and arith = Semiring.arithmetic f64 in
+  [ ( "path min= A.T @ path",
+      (fun () -> Svector.of_coo f64 n [ (0, 0.0) ]),
+      (fun path ->
+        Context.with_ops
+          [ Context.semiring "MinPlus"; Context.accum "Min" ]
+          (fun () ->
+            let p = Container.of_svector path in
+            Ops.update p (tr !!g @. !!p))),
+      fun path ->
+        Matmul.mxv ~accum:(Binop.min f64) ~transpose_a:true min_plus ~out:path
+          graph path );
+    ( "v<v> += v",
+      (fun () ->
+        Svector.of_coo f64 n
+          (List.init (n / 2) (fun i -> (2 * i, float_of_int (i mod 3))))),
+      (fun v ->
+        let c = Container.of_svector v in
+        Ops.update ~mask:(mask c) ~accum:"Plus" c !!c),
+      fun v ->
+        Apply_reduce.apply_vector ~mask:(Mask.vmask v) ~accum:(Binop.plus f64)
+          (Unaryop.identity f64) ~out:v v );
+    ( "w<¬w, replace> = A @ w",
+      (fun () ->
+        Svector.of_coo f64 n (List.init (n / 3) (fun i -> (3 * i, 1.0)))),
+      (fun w ->
+        Context.with_ops [ Context.semiring "Arithmetic" ] (fun () ->
+            let c = Container.of_svector w in
+            Ops.set ~mask:(~~c) ~replace:true c (!!g @. !!c))),
+      fun w ->
+        Matmul.mxv ~mask:(Mask.vmask ~complemented:true w) ~replace:true arith
+          ~out:w graph w ) ]
+
+let test_aliasing () =
+  let n = 64 in
+  Format_stats.with_enabled true (fun () ->
+      List.iter
+        (fun (name, init, dsl, generic) ->
+          List.iter
+            (fun (dense, mode) ->
+              let ours = init () and theirs = init () in
+              if dense then Svector.densify ours else Svector.sparsify ours;
+              for _round = 1 to 4 do
+                Exec.with_mode mode (fun () -> dsl ours);
+                generic theirs
+              done;
+              Alcotest.(check (list (pair int int64)))
+                (Printf.sprintf "%s (%s target, %s)" name
+                   (if dense then "dense" else "sparse")
+                   (match mode with
+                   | Exec.Blocking -> "blocking"
+                   | Exec.Nonblocking -> "nonblocking"))
+                (bits theirs) (bits ours))
+            [ (true, Exec.Blocking); (false, Exec.Blocking);
+              (true, Exec.Nonblocking); (false, Exec.Nonblocking) ])
+        (aliasing_cases n))
+
+(* -- conversions stay a constant per SSSP call --
+
+   Each of the |V| rounds reads the dense path vector and accumulates
+   into it; neither the read nor the write may convert it, so the
+   densify + sparsify count of one call does not grow with the round
+   count. *)
+
+let test_sssp_conversion_count () =
+  Format_stats.with_enabled true (fun () ->
+      let n = 256 in
+      let rng = Graphs.Rng.create ~seed:7 in
+      let graph =
+        Graphs.Convert.matrix_of_edges f64
+          (Graphs.Generators.erdos_renyi_paper rng ~nvertices:n)
+      in
+      let conversions f =
+        let count () =
+          let c = Format_stats.counters () in
+          List.assoc "densify" c + List.assoc "sparsify" c
+        in
+        let c0 = count () in
+        ignore (f ());
+        count () - c0
+      in
+      let native =
+        conversions (fun () -> Algorithms.Sssp.native graph ~src:0)
+      in
+      let vm =
+        conversions (fun () ->
+            Algorithms.Sssp.vm_loops (Ogb.Container.of_smatrix graph) ~src:0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "native: %d conversions for %d rounds" native n)
+        true (native <= 8);
+      Alcotest.(check bool)
+        (Printf.sprintf "vm_loops: %d conversions for %d rounds" vm n)
+        true (vm <= 8))
+
 let suite =
   [ Alcotest.test_case "extract_col is served from the cached CSC side" `Quick
       test_extract_col_cached;
@@ -328,4 +524,12 @@ let suite =
     Helpers.to_alcotest qcheck_vxm_dense_pull;
     Helpers.to_alcotest qcheck_bfs_pipelines;
     Helpers.to_alcotest qcheck_pagerank_pipelines;
+    Alcotest.test_case "kernel reads leave a dense operand as it was" `Quick
+      test_reads_do_not_write;
+    Alcotest.test_case "four domains read one shared dense vector" `Quick
+      test_concurrent_shared_reads;
+    Alcotest.test_case "target aliasing an operand or the mask" `Quick
+      test_aliasing;
+    Alcotest.test_case "SSSP conversions do not grow with rounds" `Quick
+      test_sssp_conversion_count;
   ]
